@@ -134,7 +134,9 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact serialization to `out` (what `Display` prints),
+    /// for callers that frame the text without another copy.
+    pub fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -270,19 +272,43 @@ fn write_number(n: f64, out: &mut String) {
     }
 }
 
+/// Offset of the first byte of `bytes` that satisfies `special`, scanning
+/// 32-byte blocks without early exit inside a block so the test
+/// vectorizes; long strings (the protocol's packed columns) are mostly
+/// plain bytes.
+fn find_special(bytes: &[u8], special: impl Fn(u8) -> bool) -> Option<usize> {
+    let mut blocks = bytes.chunks_exact(32);
+    let mut start = 0;
+    for block in &mut blocks {
+        if block.iter().fold(false, |hit, &b| hit | special(b)) {
+            break;
+        }
+        start += 32;
+    }
+    bytes[start..]
+        .iter()
+        .position(|&b| special(b))
+        .map(|i| start + i)
+}
+
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // Copy runs that need no escaping in one step. Every escaped character
+    // is ASCII, so splitting at its byte is UTF-8-safe.
+    let mut rest = s;
+    while let Some(i) = find_special(rest.as_bytes(), |b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => out.push_str(&format!("\\u{b:04x}")),
         }
+        rest = &rest[i + 1..];
     }
+    out.push_str(rest);
     out.push('"');
 }
 
@@ -457,10 +483,8 @@ impl<'a> Parser<'a> {
                     // linear — validating the whole tail per character made
                     // long strings quadratic.
                     let rest = &self.bytes[self.pos..];
-                    let run_len = rest
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .unwrap_or(rest.len());
+                    let run_len =
+                        find_special(rest, |b| b == b'"' || b == b'\\').unwrap_or(rest.len());
                     let run = std::str::from_utf8(&rest[..run_len])
                         .map_err(|_| self.err("invalid UTF-8"))?;
                     out.push_str(run);

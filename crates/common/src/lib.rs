@@ -2,8 +2,9 @@
 //!
 //! Shared building blocks for the `skewjoin` workspace: tuple and relation
 //! types, hash functions and radix extraction, histogram/prefix-sum helpers,
-//! join output sinks (including the paper's volcano-style ring buffer), and
-//! per-phase timing statistics.
+//! join output sinks (including the paper's volcano-style ring buffer),
+//! per-phase timing statistics, and the packed-column codec of the wire
+//! protocol.
 //!
 //! Every join algorithm in the workspace (CPU `Cbase`/`cbase-npj`/`CSH` and
 //! GPU `Gbase`/`GSH`) is built on these primitives, which keeps their results
@@ -15,6 +16,7 @@
 #![warn(clippy::all)]
 
 pub mod cancel;
+pub mod codec;
 pub mod error;
 pub mod faults;
 pub mod hash;

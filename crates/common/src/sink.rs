@@ -221,9 +221,17 @@ impl OutputSink for MaterializeSink {
 /// localizes a divergence to the specific key that lost or gained results,
 /// and the cluster coordinator merges per-shard key counts to verify a
 /// sharded join against single-node ground truth.
+///
+/// Results for one key arrive back to back (a probe tuple against its
+/// chain, or an [`OutputSink::emit_r_run`]), so the sink counts the current
+/// run of equal keys in a register and touches the map only when the key
+/// changes.
 #[derive(Debug, Default, Clone)]
 pub struct KeyCountSink {
     counts: BTreeMap<Key, u64>,
+    run_key: Key,
+    /// Results in the pending run of `run_key`; 0 when there is none.
+    run_len: u64,
     total: u64,
     checksum: u64,
 }
@@ -234,19 +242,43 @@ impl KeyCountSink {
         Self::default()
     }
 
-    /// Per-key result counts, ordered by key.
-    pub fn counts(&self) -> &BTreeMap<Key, u64> {
-        &self.counts
+    /// Per-key result counts, ordered by key, pending run included.
+    pub fn counts(&self) -> BTreeMap<Key, u64> {
+        let mut counts = self.counts.clone();
+        add_run(&mut counts, self.run_key, self.run_len);
+        counts
+    }
+
+    /// Extends the run of `key` by `n` results, flushing a run of another
+    /// key into the map first.
+    #[inline(always)]
+    fn extend_run(&mut self, key: Key, n: u64) {
+        if self.run_key != key {
+            add_run(&mut self.counts, self.run_key, self.run_len);
+            self.run_key = key;
+            self.run_len = 0;
+        }
+        self.run_len += n;
+        self.total += n;
     }
 }
 
 impl OutputSink for KeyCountSink {
+    #[inline(always)]
     fn emit(&mut self, key: Key, r_payload: Payload, s_payload: Payload) {
-        *self.counts.entry(key).or_insert(0) += 1;
-        self.total += 1;
+        self.extend_run(key, 1);
         self.checksum = self
             .checksum
             .wrapping_add(tuple_mix(key, r_payload, s_payload));
+    }
+
+    fn emit_r_run(&mut self, key: Key, r_tuples: &[Tuple], s_payload: Payload) {
+        self.extend_run(key, r_tuples.len() as u64);
+        for r in r_tuples {
+            self.checksum = self
+                .checksum
+                .wrapping_add(tuple_mix(key, r.payload, s_payload));
+        }
     }
 
     fn count(&self) -> u64 {
@@ -258,13 +290,21 @@ impl OutputSink for KeyCountSink {
     }
 }
 
-/// Merges per-worker key-count maps into one.
+/// Adds a run of `len` results of `key` to `counts`.
+fn add_run(counts: &mut BTreeMap<Key, u64>, key: Key, len: u64) {
+    if len > 0 {
+        *counts.entry(key).or_insert(0) += len;
+    }
+}
+
+/// Merges per-worker key counts (pending runs included) into one map.
 pub fn merge_key_counts(sinks: &[KeyCountSink]) -> BTreeMap<Key, u64> {
     let mut merged = BTreeMap::new();
     for sink in sinks {
-        for (&key, &count) in sink.counts() {
+        for (&key, &count) in &sink.counts {
             *merged.entry(key).or_insert(0) += count;
         }
+        add_run(&mut merged, sink.run_key, sink.run_len);
     }
     merged
 }

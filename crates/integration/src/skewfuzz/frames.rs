@@ -11,6 +11,10 @@
 //!   timeout the server must either send back a parseable frame or close
 //!   the connection. Hanging the reader, crashing the accept loop, or
 //!   replying with bytes its own codec cannot parse are violations.
+//!
+//! A case may also pin the error it must provoke ([`FrameCase`]'s
+//! `expect_error`): then request parsing must fail with that text, and the
+//! server's reply must be a `failed` response carrying it.
 
 use std::io::{Cursor, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -20,7 +24,7 @@ use std::time::Duration;
 
 use skewjoin::cpu::CpuJoinConfig;
 use skewjoin_service::{
-    protocol, JoinRequest, JoinResponse, JoinService, ServerHandle, ServiceConfig,
+    protocol, JoinRequest, JoinResponse, JoinService, Outcome, ServerHandle, ServiceConfig,
 };
 
 use super::FrameCase;
@@ -68,17 +72,26 @@ impl Drop for FrameHarness {
 }
 
 /// Codec-level check: none of the parsing layers may panic on these bytes,
-/// no matter how malformed. Returns `Some(details)` on violation.
-pub fn check_codec(bytes: &[u8]) -> Option<String> {
+/// no matter how malformed, and request parsing must fail naming
+/// `expect_error` when one is given. Returns `Some(details)` on violation.
+pub fn check_codec(bytes: &[u8], expect_error: Option<&str>) -> Option<String> {
     let bytes = bytes.to_vec();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         // The frame reader over the exact bytes.
         let mut cursor = Cursor::new(&bytes[..]);
-        if let Ok(json) = protocol::read_frame(&mut cursor) {
+        let parsed = protocol::read_frame(&mut cursor).map(|json| {
             // A frame that decodes must survive request parsing too.
-            let _ = JoinRequest::from_json(&json, "skewfuzz");
             let _ = JoinResponse::from_json(&json);
-        }
+            JoinRequest::from_json(&json, "skewfuzz")
+        });
+        let verdict = expect_error.and_then(|expected| match parsed {
+            Ok(Err(e)) if e.contains(expected) => None,
+            Ok(Err(e)) => Some(format!("request error {e:?} does not name {expected:?}")),
+            Ok(Ok(_)) => Some(format!(
+                "request parsed; expected an error naming {expected:?}"
+            )),
+            Err(e) => Some(format!("frame unreadable ({e}); expected {expected:?}")),
+        });
         // The JSON parser over the body alone (skipping the prefix), which
         // exercises it on truncated/garbage text the framing would refuse.
         if bytes.len() > 4 {
@@ -86,9 +99,10 @@ pub fn check_codec(bytes: &[u8]) -> Option<String> {
                 let _ = skewjoin::common::json::Json::parse(body);
             }
         }
+        verdict
     }));
     match outcome {
-        Ok(()) => None,
+        Ok(verdict) => verdict,
         Err(payload) => Some(format!(
             "frame codec panicked: {}",
             payload
@@ -101,9 +115,10 @@ pub fn check_codec(bytes: &[u8]) -> Option<String> {
 }
 
 /// Service-level check: write the bytes to a live server and demand
-/// reply-or-close within [`REPLY_TIMEOUT`]. Returns `Some(details)` on
+/// reply-or-close within [`REPLY_TIMEOUT`] — or, with `expect_error`, a
+/// `failed` reply whose error contains it. Returns `Some(details)` on
 /// violation.
-pub fn check_service(addr: SocketAddr, bytes: &[u8]) -> Option<String> {
+pub fn check_service(addr: SocketAddr, bytes: &[u8], expect_error: Option<&str>) -> Option<String> {
     let mut stream = match TcpStream::connect(addr) {
         Ok(s) => s,
         Err(e) => return Some(format!("connect failed: {e}")),
@@ -116,7 +131,22 @@ pub fn check_service(addr: SocketAddr, bytes: &[u8]) -> Option<String> {
     let _ = stream.flush();
     // Half-close so a server waiting on a truncated frame sees EOF.
     let _ = stream.shutdown(Shutdown::Write);
-    match protocol::read_frame(&mut stream) {
+    let reply = protocol::read_frame(&mut stream);
+    if let Some(expected) = expect_error {
+        return match reply.as_ref().map(JoinResponse::from_json) {
+            Ok(Ok(JoinResponse {
+                outcome: Outcome::Failed { error },
+                ..
+            })) if error.contains(expected) => None,
+            Ok(other) => Some(format!(
+                "expected a failed reply naming {expected:?}, got {other:?}"
+            )),
+            Err(e) => Some(format!(
+                "expected a failed reply naming {expected:?}, got no reply: {e}"
+            )),
+        };
+    }
+    match reply {
         Ok(json) => {
             // Whatever came back must be coherent: join-style replies (any
             // frame carrying an "outcome") must parse as a JoinResponse;
@@ -148,11 +178,12 @@ pub fn check_service(addr: SocketAddr, bytes: &[u8]) -> Option<String> {
 /// Runs one frame case through the codec check and (when a harness is up)
 /// the live service check.
 pub fn check_frame(case: &FrameCase, harness: Option<&FrameHarness>) -> Option<String> {
-    if let Some(v) = check_codec(&case.bytes) {
+    let expect_error = case.expect_error.as_deref();
+    if let Some(v) = check_codec(&case.bytes, expect_error) {
         return Some(v);
     }
     if let Some(h) = harness {
-        if let Some(v) = check_service(h.addr(), &case.bytes) {
+        if let Some(v) = check_service(h.addr(), &case.bytes, expect_error) {
             return Some(v);
         }
     }
@@ -169,8 +200,37 @@ mod tests {
         let mut rng = Rng::seed_from_u64(23);
         for i in 0..200 {
             let case = super::super::gen::gen_frame_case(&mut rng, 23, i);
-            assert_eq!(check_codec(&case.bytes), None, "case {}", case.name);
+            assert_eq!(
+                check_codec(&case.bytes, case.expect_error.as_deref()),
+                None,
+                "case {}",
+                case.name
+            );
         }
+    }
+
+    #[test]
+    fn generated_shard_tasks_complete() {
+        let harness = FrameHarness::start().expect("loopback bind");
+        let mut rng = Rng::seed_from_u64(31);
+        let mut seen = 0;
+        for i in 0..240 {
+            let case = super::super::gen::gen_frame_case(&mut rng, 31, i);
+            if !case.name.ends_with("-shard-join") {
+                continue;
+            }
+            seen += 1;
+            let mut stream = TcpStream::connect(harness.addr()).unwrap();
+            stream.write_all(&case.bytes).unwrap();
+            let reply = protocol::read_frame(&mut stream).unwrap();
+            let outcome = JoinResponse::from_json(&reply).unwrap().outcome;
+            assert!(
+                matches!(outcome, Outcome::Completed(_)),
+                "{}: {outcome:?}",
+                case.name
+            );
+        }
+        assert!(seen > 0, "no shard_join frame in 240 cases");
     }
 
     #[test]
@@ -178,12 +238,15 @@ mod tests {
         let harness = FrameHarness::start().expect("loopback bind");
         // Zero-length frame: empty body is invalid JSON → protocol error
         // reply, not a hang.
-        assert_eq!(check_service(harness.addr(), &[0, 0, 0, 0]), None);
+        assert_eq!(check_service(harness.addr(), &[0, 0, 0, 0], None), None);
         // Oversized declared length → refusal without a giant allocation.
         let mut oversized = (protocol::MAX_FRAME_BYTES + 1).to_be_bytes().to_vec();
         oversized.push(b'x');
-        assert_eq!(check_service(harness.addr(), &oversized), None);
+        assert_eq!(check_service(harness.addr(), &oversized, None), None);
         // Truncated frame then close → server must just drop it.
-        assert_eq!(check_service(harness.addr(), &[0, 0, 0, 50, b'{']), None);
+        assert_eq!(
+            check_service(harness.addr(), &[0, 0, 0, 50, b'{'], None),
+            None
+        );
     }
 }

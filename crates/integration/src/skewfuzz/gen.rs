@@ -8,8 +8,13 @@
 //! clamps all appear with far higher probability than uniform sampling
 //! would give them — those are where join bugs live.
 
+use std::sync::Arc;
+
+use skewjoin::common::codec;
+use skewjoin::common::json::Json;
+use skewjoin::common::{Relation, Tuple};
 use skewjoin::datagen::{Rng, ZipfWorkload};
-use skewjoin::Algorithm;
+use skewjoin::{Algorithm, ShardPartition};
 use skewjoin_service::{AlgoChoice, JoinRequest};
 
 use super::{FrameCase, FuzzConfig, JoinCase, Oracle};
@@ -367,8 +372,8 @@ pub fn gen_join_case(rng: &mut Rng, seed: u64, index: usize, max_size: usize) ->
     }
 }
 
-fn frame_of(json: &skewjoin::common::json::Json) -> Vec<u8> {
-    let body = json.to_string_pretty().into_bytes();
+fn frame_of(json: &Json) -> Vec<u8> {
+    let body = json.to_string().into_bytes();
     let mut bytes = (body.len() as u32).to_be_bytes().to_vec();
     bytes.extend_from_slice(&body);
     bytes
@@ -385,7 +390,8 @@ pub fn gen_frame_case(rng: &mut Rng, seed: u64, index: usize) -> FrameCase {
         "auto",
         "auto-gpu",
     ];
-    let (tag, bytes): (&str, Vec<u8>) = match rng.below(10) {
+    let mut expect_error = None;
+    let (tag, bytes): (&str, Vec<u8>) = match rng.below(12) {
         0 | 1 => {
             // Well-formed generate request: the service must answer it.
             let algo = AlgoChoice::parse(algo_names[rng.below(algo_names.len())]).unwrap();
@@ -400,8 +406,6 @@ pub fn gen_frame_case(rng: &mut Rng, seed: u64, index: usize) -> FrameCase {
         }
         2 => {
             // Well-formed inline request with boundary keys.
-            use skewjoin::common::{Relation, Tuple};
-            use std::sync::Arc;
             let (r_len, s_len) = (1 + rng.below(256), 1 + rng.below(256));
             let mut mk = |n: usize| {
                 let mut rel = Relation::with_capacity(n);
@@ -483,7 +487,7 @@ pub fn gen_frame_case(rng: &mut Rng, seed: u64, index: usize) -> FrameCase {
             bytes.extend_from_slice(&body);
             ("deep", bytes)
         }
-        _ => {
+        9 => {
             // Oversized declared length (> 64 MiB cap): typed refusal, and
             // crucially no 4 GB allocation.
             let len: u32 = match rng.below(3) {
@@ -495,10 +499,129 @@ pub fn gen_frame_case(rng: &mut Rng, seed: u64, index: usize) -> FrameCase {
             bytes.extend_from_slice(b"x");
             ("oversized", bytes)
         }
+        10 => {
+            // A hostile packed column in an otherwise well-formed request:
+            // the reply must be a failed response naming the column.
+            let (tag, field, column, expected) = hostile_column(rng);
+            let good = Json::str(codec::pack_tuples(&[Tuple::new(1, 2)]));
+            let (r, hot_keys) = match field {
+                "inline.r" => (column, Json::str("")),
+                _ => (good.clone(), column),
+            };
+            let body = Json::obj(vec![
+                ("op", Json::str("shard_join")),
+                ("client", Json::str("skewfuzz")),
+                ("algo", Json::str("csh")),
+                (
+                    "payload",
+                    Json::obj(vec![("inline", Json::obj(vec![("r", r), ("s", good)]))]),
+                ),
+                (
+                    "shard",
+                    Json::obj(vec![
+                        ("slot", Json::from_u64(0)),
+                        ("shards", Json::from_u64(1)),
+                        ("hot_keys", hot_keys),
+                    ]),
+                ),
+            ]);
+            expect_error = Some(expected.to_string());
+            (tag, frame_of(&body))
+        }
+        _ => {
+            // Well-formed shard task: every tuple is owned by the slot or
+            // is one of its hot keys, as the coordinator routes them.
+            let shards = 1 + rng.below(4);
+            let hot_keys = (0..rng.below(3))
+                .map(|_| BOUNDARY_KEYS[rng.below(BOUNDARY_KEYS.len())])
+                .collect();
+            let part = ShardPartition {
+                slot: rng.below(shards),
+                shards,
+                hot_keys,
+            };
+            let mk = |rng: &mut Rng| {
+                let n = rng.below(256);
+                let mut rel = Relation::with_capacity(n);
+                for i in 0..n {
+                    let key = match rng.below(2) {
+                        0 => BOUNDARY_KEYS[rng.below(BOUNDARY_KEYS.len())],
+                        _ => rng.below(64) as u32,
+                    };
+                    if part.admits(key) {
+                        rel.push(Tuple::new(key, i as u32));
+                    }
+                }
+                Arc::new(rel)
+            };
+            let (r, s) = (mk(rng), mk(rng));
+            let algo = AlgoChoice::parse(algo_names[rng.below(3)]).unwrap();
+            let mut req = JoinRequest::inline("skewfuzz", algo, r, s);
+            req.shard = Some(part);
+            ("shard-join", frame_of(&req.wire_json("shard_join")))
+        }
     };
     FrameCase {
         name: format!("s{seed}-frame{index}-{tag}"),
         bytes,
+        expect_error,
+    }
+}
+
+/// A malformed packed column: `(tag, field it goes in, column, text the
+/// service's error must contain)`.
+fn hostile_column(rng: &mut Rng) -> (&'static str, &'static str, Json, &'static str) {
+    // Three tuples: 24 bytes, 32 base64 characters, no padding.
+    let good = codec::pack_tuples(&[Tuple::new(1, 2), Tuple::new(3, 4), Tuple::new(5, 6)]);
+    match rng.below(5) {
+        0 => {
+            // Cut anywhere inside: a ragged length, or whole groups that
+            // decode to a ragged byte count (3k bytes, never 8k here).
+            let cut = 1 + rng.below(good.len() - 1);
+            let column = Json::str(&good[..cut]);
+            ("packed-truncated", "inline.r", column, "inline.r")
+        }
+        1 => {
+            // One character outside the alphabet ('=' excluded: at the end
+            // it is padding, which may decode cleanly).
+            const FOREIGN: [char; 8] = ['!', '-', '_', '.', '~', ' ', '\u{0}', 'é'];
+            let at = rng.below(good.len());
+            let mut text = good.clone();
+            text.replace_range(
+                at..at + 1,
+                FOREIGN[rng.below(FOREIGN.len())].encode_utf8(&mut [0; 4]),
+            );
+            (
+                "packed-foreign-char",
+                "inline.r",
+                Json::str(text),
+                "inline.r",
+            )
+        }
+        2 => {
+            // Valid base64 of a byte count that is not whole tuples.
+            let bytes = vec![0xA5; 8 * rng.below(4) + 1 + rng.below(7)];
+            let column = Json::str(codec::encode_base64(&bytes));
+            ("packed-ragged", "inline.r", column, "8-byte records")
+        }
+        3 => {
+            // Valid base64 of a byte count that is not whole u32 keys.
+            let bytes = vec![0x5A; 4 * rng.below(4) + 1 + rng.below(3)];
+            let column = Json::str(codec::encode_base64(&bytes));
+            (
+                "packed-ragged-keys",
+                "shard.hot_keys",
+                column,
+                "4-byte records",
+            )
+        }
+        _ => {
+            // The v1 wire form: one `[key, payload]` array per tuple.
+            let rows = (0..rng.below(4))
+                .map(|i| Json::Arr(vec![Json::from_u64(i as u64), Json::from_u64(7)]))
+                .collect();
+            ("v1-array", "inline.r", Json::Arr(rows), "v2")
+        }
     }
 }
 

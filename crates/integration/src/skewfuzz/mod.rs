@@ -498,6 +498,9 @@ pub struct FrameCase {
     /// The raw bytes, length prefix included (possibly inconsistent with
     /// the body — that is the point).
     pub bytes: Vec<u8>,
+    /// When set, replying is not enough: request parsing must fail, and the
+    /// service must answer `failed`, with an error containing this text.
+    pub expect_error: Option<String>,
 }
 
 fn to_hex(bytes: &[u8]) -> String {
@@ -520,11 +523,15 @@ fn from_hex(hex: &str) -> Option<Vec<u8>> {
 impl FrameCase {
     /// Serializes the case to corpus JSON (bytes as hex).
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
+        let mut fields = vec![
             ("kind", Json::str("frame")),
             ("name", Json::str(&self.name)),
             ("frame_hex", Json::str(to_hex(&self.bytes))),
-        ])
+        ];
+        if let Some(expected) = &self.expect_error {
+            fields.push(("expect_error", Json::str(expected)));
+        }
+        Json::obj(fields)
     }
 
     /// Rebuilds a case from corpus JSON.
@@ -536,6 +543,10 @@ impl FrameCase {
                 .unwrap_or("corpus")
                 .to_string(),
             bytes: from_hex(json.get("frame_hex")?.as_str()?)?,
+            expect_error: match json.get("expect_error") {
+                None => None,
+                Some(text) => Some(text.as_str()?.to_string()),
+            },
         })
     }
 }
@@ -764,13 +775,17 @@ mod tests {
 
     #[test]
     fn corpus_codec_round_trips_frame_cases() {
-        let case = FrameCase {
+        let mut case = FrameCase {
             name: "bytes".into(),
             bytes: vec![0, 0, 0, 2, 0xFF, 0x00],
+            expect_error: None,
         };
-        let text = case.to_json().to_string();
-        let back = CorpusEntry::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, CorpusEntry::Frame(case));
+        for expect_error in [None, Some("v2".to_string())] {
+            case.expect_error = expect_error;
+            let text = case.to_json().to_string();
+            let back = CorpusEntry::from_json(&Json::parse(&text).unwrap()).unwrap();
+            assert_eq!(back, CorpusEntry::Frame(case.clone()));
+        }
     }
 
     #[test]

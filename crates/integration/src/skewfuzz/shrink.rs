@@ -165,6 +165,7 @@ pub fn shrink_frame(
             &FrameCase {
                 name: case.name.clone(),
                 bytes: bytes.to_vec(),
+                expect_error: case.expect_error.clone(),
             },
             harness,
         )
@@ -195,6 +196,7 @@ pub fn shrink_frame(
     FrameCase {
         name: case.name.clone(),
         bytes: best,
+        expect_error: case.expect_error.clone(),
     }
 }
 

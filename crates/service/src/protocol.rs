@@ -1,5 +1,13 @@
 //! Length-prefixed TCP protocol: each frame is a `u32` big-endian byte
-//! length followed by that many bytes of UTF-8 JSON.
+//! length followed by that many bytes of compact UTF-8 JSON, sent in one
+//! write. Both ends set `TCP_NODELAY`: a request/reply exchange is one
+//! frame each way, so Nagle's algorithm would only hold a frame's tail
+//! back waiting for the peer's delayed ACK.
+//!
+//! Bulk columns (inline relations, per-key counts, hot keys) travel as
+//! base64 strings of packed little-endian records (protocol v2, see
+//! [`skewjoin::common::codec`]), so every frame is still one JSON document
+//! and one grammar covers every op.
 //!
 //! Ops (the `"op"` member of a request frame):
 //!
@@ -52,7 +60,7 @@ pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 /// Version of the frame protocol this build speaks. Carried in the
 /// `ping` hello exchange; a mismatch is a typed
 /// [`ClientError::VersionMismatch`], not a frame-parse failure.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Connection attempts a [`Client`] makes per op before reporting
 /// [`ClientError::ConnectionLost`].
@@ -61,11 +69,14 @@ pub const DEFAULT_CLIENT_ATTEMPTS: u32 = 4;
 /// Base backoff between client reconnection attempts; doubles per retry.
 pub const DEFAULT_CLIENT_BACKOFF: Duration = Duration::from_millis(25);
 
-/// Writes one length-prefixed JSON frame.
+/// Writes one length-prefixed JSON frame: prefix and body go out in a
+/// single write, so a frame never leaves as a lone 4-byte segment.
 pub fn write_frame(w: &mut impl Write, json: &Json) -> io::Result<()> {
-    let body = json.to_string_pretty();
-    let bytes = body.as_bytes();
-    let len = u32::try_from(bytes.len())
+    // The body is written after a placeholder for the length prefix.
+    let mut text = String::from("\0\0\0\0");
+    json.write(&mut text);
+    let mut frame = text.into_bytes();
+    let len = u32::try_from(frame.len() - 4)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds u32 length"))?;
     if len > MAX_FRAME_BYTES {
         return Err(io::Error::new(
@@ -73,8 +84,8 @@ pub fn write_frame(w: &mut impl Write, json: &Json) -> io::Result<()> {
             format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"),
         ));
     }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(bytes)?;
+    frame[..4].copy_from_slice(&len.to_be_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -212,6 +223,9 @@ pub fn serve_shard(
 }
 
 fn handle_connection(service: &JoinService, mut stream: TcpStream, shard: Option<u32>) {
+    // Best effort: a socket that refuses the option still works, only
+    // slower.
+    let _ = stream.set_nodelay(true);
     let peer = stream
         .peer_addr()
         .map(|a| a.to_string())
@@ -478,7 +492,9 @@ impl Client {
 
     fn try_once(&mut self, frame: &Json) -> io::Result<Json> {
         if self.stream.is_none() {
-            self.stream = Some(TcpStream::connect(self.addr)?);
+            let stream = TcpStream::connect(self.addr)?;
+            stream.set_nodelay(true)?;
+            self.stream = Some(stream);
         }
         let stream = self.stream.as_mut().expect("stream just ensured");
         write_frame(stream, frame)?;

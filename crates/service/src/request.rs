@@ -2,17 +2,21 @@
 //! wire protocol uses.
 //!
 //! A [`JoinRequest`] either carries its relations inline (in-process
-//! clients hand over `Arc`s; remote clients ship key/payload arrays) or
-//! asks the service to generate a paper workload on the worker — the cheap
-//! way to drive load tests over TCP without streaming megabytes of tuples.
+//! clients hand over `Arc`s; remote clients ship packed key/payload
+//! columns, see [`skewjoin::common::codec`]) or asks the service to
+//! generate a paper workload on the worker — the cheap way to drive load
+//! tests over TCP without streaming megabytes of tuples.
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use skewjoin::common::codec::{self, CodecError};
 use skewjoin::common::json::Json;
-use skewjoin::common::{Key, Relation, Trace, Tuple};
+use skewjoin::common::{Key, Relation, Trace};
 use skewjoin::planner::TargetDevice;
 use skewjoin::{Algorithm, CpuAlgorithm, GpuAlgorithm, JoinConfig, ShardPartition};
+
+use crate::protocol::PROTOCOL_VERSION;
 
 /// Service-assigned request identifier, unique within one service instance.
 pub type RequestId = u64;
@@ -106,7 +110,7 @@ impl AlgoChoice {
 #[derive(Debug, Clone)]
 pub enum RequestPayload {
     /// Caller-provided relations. In-process submissions share them by
-    /// `Arc`; over the wire they are shipped as key/payload arrays.
+    /// `Arc`; over the wire each ships as one packed key/payload column.
     Inline {
         /// Build side.
         r: Arc<Relation>,
@@ -220,7 +224,10 @@ impl JoinRequest {
             )]),
             RequestPayload::Inline { r, s } => Json::obj(vec![(
                 "inline",
-                Json::obj(vec![("r", relation_to_json(r)), ("s", relation_to_json(s))]),
+                Json::obj(vec![
+                    ("r", Json::str(codec::pack_tuples(r))),
+                    ("s", Json::str(codec::pack_tuples(s))),
+                ]),
             )]),
         };
         let mut fields = vec![
@@ -239,16 +246,7 @@ impl JoinRequest {
                 Json::obj(vec![
                     ("slot", Json::from_u64(shard.slot as u64)),
                     ("shards", Json::from_u64(shard.shards as u64)),
-                    (
-                        "hot_keys",
-                        Json::Arr(
-                            shard
-                                .hot_keys
-                                .iter()
-                                .map(|&k| Json::from_u64(u64::from(k)))
-                                .collect(),
-                        ),
-                    ),
+                    ("hot_keys", Json::str(codec::pack_keys(&shard.hot_keys))),
                 ]),
             ));
         }
@@ -294,13 +292,16 @@ impl JoinRequest {
                 seed: generate.get("seed").and_then(Json::as_u64).unwrap_or(42),
             }
         } else if let Some(inline) = payload.get("inline") {
+            let relation = |side: &str| {
+                let column = inline
+                    .get(side)
+                    .ok_or_else(|| format!("inline payload needs {side:?}"))?;
+                let tuples = packed(column, &format!("inline.{side}"), codec::unpack_tuples)?;
+                Ok::<_, String>(Arc::new(Relation::from_tuples(tuples)))
+            };
             RequestPayload::Inline {
-                r: Arc::new(relation_from_json(
-                    inline.get("r").ok_or("inline payload needs \"r\"")?,
-                )?),
-                s: Arc::new(relation_from_json(
-                    inline.get("s").ok_or("inline payload needs \"s\"")?,
-                )?),
+                r: relation("r")?,
+                s: relation("s")?,
             }
         } else {
             return Err("payload must be \"generate\" or \"inline\"".into());
@@ -316,13 +317,10 @@ impl JoinRequest {
                     .get("shards")
                     .and_then(Json::as_u64)
                     .ok_or("shard needs \"shards\"")? as usize;
-                let mut hot_keys = Vec::new();
-                if let Some(keys) = shard.get("hot_keys").and_then(Json::as_array) {
-                    for k in keys {
-                        let k = k.as_u64().ok_or("shard hot key must be an integer")?;
-                        hot_keys.push(Key::try_from(k).map_err(|_| "shard hot key exceeds u32")?);
-                    }
-                }
+                let hot_keys = match shard.get("hot_keys") {
+                    None => Vec::new(),
+                    Some(keys) => packed(keys, "shard.hot_keys", codec::unpack_keys)?,
+                };
                 Some(ShardPartition {
                     slot,
                     shards,
@@ -347,37 +345,24 @@ impl JoinRequest {
     }
 }
 
-fn relation_to_json(rel: &Relation) -> Json {
-    Json::Arr(
-        rel.iter()
-            .map(|t| {
-                Json::Arr(vec![
-                    Json::from_u64(u64::from(t.key)),
-                    Json::from_u64(u64::from(t.payload)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn relation_from_json(json: &Json) -> Result<Relation, String> {
-    let rows = json.as_array().ok_or("relation must be an array")?;
-    let mut rel = Relation::with_capacity(rows.len());
-    for row in rows {
-        let pair = row
-            .as_array()
-            .ok_or("tuple must be a [key, payload] pair")?;
-        if pair.len() != 2 {
-            return Err("tuple must be a [key, payload] pair".into());
-        }
-        let key = pair[0].as_u64().ok_or("tuple key must be an integer")?;
-        let payload = pair[1].as_u64().ok_or("tuple payload must be an integer")?;
-        rel.push(Tuple::new(
-            u32::try_from(key).map_err(|_| "tuple key exceeds u32")?,
-            u32::try_from(payload).map_err(|_| "tuple payload exceeds u32")?,
-        ));
+/// Decodes the packed column `field` with `unpack`. The v1 wire form, a
+/// JSON array with one element per record, gets an error naming the
+/// protocol version that replaced it.
+fn packed<T>(
+    json: &Json,
+    field: &str,
+    unpack: fn(&str) -> Result<Vec<T>, CodecError>,
+) -> Result<Vec<T>, String> {
+    match json {
+        Json::Str(text) => unpack(text).map_err(|e| format!("{field}: {e}")),
+        Json::Arr(_) => Err(format!(
+            "{field}: the v1 array form is not accepted; protocol \
+             v{PROTOCOL_VERSION} sends a base64 string of packed little-endian records"
+        )),
+        _ => Err(format!(
+            "{field} must be a base64 string of packed little-endian records"
+        )),
     }
-    Ok(rel)
 }
 
 /// What a completed join reports back — the stats trimmed to what a serving
@@ -480,20 +465,7 @@ impl JoinResponse {
                     ("plan_cache_hit", Json::Bool(s.plan_cache_hit)),
                 ];
                 if let Some(counts) = &s.key_counts {
-                    summary.push((
-                        "key_counts",
-                        Json::Arr(
-                            counts
-                                .iter()
-                                .map(|&(key, count)| {
-                                    Json::Arr(vec![
-                                        Json::from_u64(u64::from(key)),
-                                        Json::from_u64(count),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ));
+                    summary.push(("key_counts", Json::str(codec::pack_key_counts(counts))));
                 }
                 if let Some(trace) = &s.trace {
                     summary.push(("trace", trace.to_json()));
@@ -561,25 +533,13 @@ impl JoinResponse {
                         .get("plan_cache_hit")
                         .and_then(Json::as_bool)
                         .unwrap_or(false),
-                    key_counts: match s.get("key_counts").and_then(Json::as_array) {
+                    key_counts: match s.get("key_counts") {
                         None => None,
-                        Some(rows) => {
-                            let mut counts = Vec::with_capacity(rows.len());
-                            for row in rows {
-                                let pair = row
-                                    .as_array()
-                                    .filter(|p| p.len() == 2)
-                                    .ok_or("key_counts entries must be [key, count] pairs")?;
-                                let key = pair[0]
-                                    .as_u64()
-                                    .and_then(|k| Key::try_from(k).ok())
-                                    .ok_or("key_counts key must fit u32")?;
-                                let count =
-                                    pair[1].as_u64().ok_or("key_counts count must be a u64")?;
-                                counts.push((key, count));
-                            }
-                            Some(counts)
-                        }
+                        Some(counts) => Some(packed(
+                            counts,
+                            "summary.key_counts",
+                            codec::unpack_key_counts,
+                        )?),
                     },
                     trace: match s.get("trace") {
                         None => None,
@@ -624,6 +584,7 @@ impl JoinResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skewjoin::common::Tuple;
 
     #[test]
     fn algo_choice_round_trips() {
@@ -773,5 +734,158 @@ mod tests {
         assert!(JoinRequest::from_json(&bad, "x")
             .unwrap_err()
             .contains("nope"));
+    }
+
+    /// Sends `(r, s)` through the wire encoding (compact JSON text) and
+    /// back.
+    fn inline_round_trip(r: &Relation, s: &Relation) -> (Relation, Relation) {
+        let req = JoinRequest::inline(
+            "c",
+            AlgoChoice::parse("csh").unwrap(),
+            Arc::new(r.clone()),
+            Arc::new(s.clone()),
+        );
+        let text = req.to_json().to_string();
+        match JoinRequest::from_json(&Json::parse(&text).unwrap(), "c")
+            .unwrap()
+            .payload
+        {
+            RequestPayload::Inline { r, s } => ((*r).clone(), (*s).clone()),
+            other => panic!("expected inline payload, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn packed_relations_round_trip_at_every_padding() {
+        // 8-byte tuples: 0, 1, 2 and 3 of them leave 0, 2, 1 and 0 bytes
+        // in the last base64 group.
+        for n in 0..=3u32 {
+            let r = Relation::from_tuples((0..n).map(|i| Tuple::new(i * 7, i)).collect());
+            let s = Relation::from_tuples((0..n).map(|i| Tuple::new(i, !i)).collect());
+            assert_eq!(inline_round_trip(&r, &s), (r, s), "{n} tuples");
+        }
+        let extremes = Relation::from_tuples(vec![
+            Tuple::new(u32::MAX, u32::MAX),
+            Tuple::new(0, u32::MAX),
+            Tuple::new(u32::MAX, 0),
+        ]);
+        assert_eq!(
+            inline_round_trip(&extremes, &extremes),
+            (extremes.clone(), extremes)
+        );
+    }
+
+    #[test]
+    fn key_counts_above_2_pow_53_survive_exactly() {
+        let counts = vec![(0, (1u64 << 53) + 1), (u32::MAX, u64::MAX), (5, 1)];
+        let resp = JoinResponse {
+            id: 1,
+            outcome: Outcome::Completed(JoinSummary {
+                algorithm: "CSH".into(),
+                result_count: 3,
+                checksum: 0,
+                exec_nanos: 0,
+                queue_nanos: 0,
+                degradations: vec![],
+                plan_cache_hit: false,
+                key_counts: Some(counts.clone()),
+                trace: None,
+            }),
+        };
+        let text = resp.to_json().to_string();
+        match JoinResponse::from_json(&Json::parse(&text).unwrap())
+            .unwrap()
+            .outcome
+        {
+            Outcome::Completed(s) => assert_eq!(s.key_counts, Some(counts)),
+            other => panic!("expected completion, got {other:?}"),
+        }
+    }
+
+    /// A request whose `inline.r` is `column`; `s` is a valid empty column.
+    fn with_r_column(column: Json) -> Json {
+        Json::obj(vec![
+            ("algo", Json::str("csh")),
+            (
+                "payload",
+                Json::obj(vec![(
+                    "inline",
+                    Json::obj(vec![("r", column), ("s", Json::str(""))]),
+                )]),
+            ),
+        ])
+    }
+
+    /// A completed response whose `summary.key_counts` is `column`.
+    fn with_key_counts(column: Json) -> Json {
+        Json::obj(vec![
+            ("id", Json::from_u64(1)),
+            ("outcome", Json::str("completed")),
+            (
+                "summary",
+                Json::obj(vec![
+                    ("algorithm", Json::str("CSH")),
+                    ("result_count", Json::from_u64(0)),
+                    ("checksum", Json::str("0x0")),
+                    ("key_counts", column),
+                ]),
+            ),
+        ])
+    }
+
+    #[test]
+    fn malformed_packed_columns_get_typed_errors() {
+        let seven_bytes = codec::encode_base64(&[1; 7]);
+        let eight_bytes = codec::encode_base64(&[1; 8]);
+        let v1 = Json::Arr(vec![Json::Arr(vec![Json::from_u64(1), Json::from_u64(2)])]);
+        let relation_cases = [
+            (Json::str("AAAA!AAA"), "not base64"),
+            (Json::str("AAAAAAA"), "not a multiple of 4"),
+            (Json::str("AAAAAAB="), "padding"),
+            (Json::str(&seven_bytes), "8-byte records"),
+            (v1.clone(), "v2"),
+            (Json::from_u64(3), "base64 string"),
+        ];
+        for (column, expected) in relation_cases {
+            let err = JoinRequest::from_json(&with_r_column(column), "x").unwrap_err();
+            assert!(err.starts_with("inline.r"), "{err}");
+            assert!(err.contains(expected), "{err} lacks {expected:?}");
+        }
+        let count_cases = [
+            (Json::str("AA?A"), "not base64"),
+            (Json::str("AAAAA"), "not a multiple of 4"),
+            (Json::str("AB=="), "padding"),
+            (Json::str(&eight_bytes), "12-byte records"),
+            (v1.clone(), "v2"),
+        ];
+        for (column, expected) in count_cases {
+            let err = JoinResponse::from_json(&with_key_counts(column)).unwrap_err();
+            assert!(err.starts_with("summary.key_counts"), "{err}");
+            assert!(err.contains(expected), "{err} lacks {expected:?}");
+        }
+        let mut req = JoinRequest::generate("c", AlgoChoice::parse("csh").unwrap(), 8, 0.0, 1);
+        req.shard = Some(ShardPartition {
+            slot: 0,
+            shards: 2,
+            hot_keys: vec![],
+        });
+        let mut wire = req.wire_json("shard_join");
+        let Json::Obj(fields) = &mut wire else {
+            unreachable!("requests are objects")
+        };
+        for (name, value) in fields.iter_mut() {
+            if name == "shard" {
+                *value = Json::obj(vec![
+                    ("slot", Json::from_u64(0)),
+                    ("shards", Json::from_u64(2)),
+                    ("hot_keys", v1.clone()),
+                ]);
+            }
+        }
+        let err = JoinRequest::from_json(&wire, "x").unwrap_err();
+        assert!(
+            err.starts_with("shard.hot_keys") && err.contains("v2"),
+            "{err}"
+        );
     }
 }

@@ -3,6 +3,8 @@
 //! End-to-end planner behaviour: algorithm selection tracks the sampled
 //! skew, and executed plans agree with direct runs on both devices.
 
+use std::time::Duration;
+
 use skewjoin::prelude::*;
 
 #[test]
@@ -61,30 +63,23 @@ fn plan_reason_is_informative() {
 #[test]
 fn planned_csh_beats_planned_cbase_on_heavy_skew() {
     // Not a micro-benchmark — just a sanity check that the planner's choice
-    // is directionally right at heavy skew and moderate size.
+    // is directionally right at heavy skew and moderate size. One cold run
+    // of each is at the mercy of host noise, so the two algorithms run
+    // interleaved and their fastest runs are compared.
+    const RUNS: usize = 5;
     let w = PaperWorkload::generate(WorkloadSpec::paper(1 << 16, 1.0, 7));
     let cfg = JoinConfig::from(CpuJoinConfig::with_threads(4));
-    let csh = skewjoin::run_join(
-        Algorithm::Cpu(CpuAlgorithm::Csh),
-        &w.r,
-        &w.s,
-        &cfg,
-        SinkSpec::Count,
-    )
-    .unwrap();
-    let cbase = skewjoin::run_join(
-        Algorithm::Cpu(CpuAlgorithm::Cbase),
-        &w.r,
-        &w.s,
-        &cfg,
-        SinkSpec::Count,
-    )
-    .unwrap();
-    assert_eq!(csh.result_count, cbase.result_count);
+    let run = |algo| skewjoin::run_join(Algorithm::Cpu(algo), &w.r, &w.s, &cfg, SinkSpec::Count);
+    let (mut csh_best, mut cbase_best) = (Duration::MAX, Duration::MAX);
+    for _ in 0..RUNS {
+        let csh = run(CpuAlgorithm::Csh).unwrap();
+        let cbase = run(CpuAlgorithm::Cbase).unwrap();
+        assert_eq!(csh.result_count, cbase.result_count);
+        csh_best = csh_best.min(csh.total_time());
+        cbase_best = cbase_best.min(cbase.total_time());
+    }
     assert!(
-        csh.total_time() < cbase.total_time(),
-        "CSH {:?} not faster than Cbase {:?} at zipf 1.0",
-        csh.total_time(),
-        cbase.total_time()
+        csh_best < cbase_best,
+        "CSH {csh_best:?} not faster than Cbase {cbase_best:?} at zipf 1.0 (best of {RUNS})"
     );
 }

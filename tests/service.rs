@@ -4,7 +4,9 @@
 //! client, deadline enforcement through the wire).
 //!
 //! The failpoint registry is process-global, so the fault-armed tests
-//! serialize behind one mutex (same discipline as `fault_recovery.rs`).
+//! serialize behind one mutex (same discipline as `fault_recovery.rs`),
+//! and so does every test that runs joins and expects them to succeed:
+//! a fault armed by a concurrent test would otherwise fail its requests.
 
 use std::process::Command;
 use std::sync::{Mutex, PoisonError};
@@ -65,6 +67,7 @@ fn soak_binary_upholds_the_serving_contract() {
 /// them.
 #[test]
 fn fair_queue_prevents_client_starvation_through_the_service() {
+    let _guard = lock();
     let svc = small_service(1, 32);
     let csh = AlgoChoice::Fixed(Algorithm::Cpu(CpuAlgorithm::Csh));
     // Occupy the single worker so subsequent submissions queue.
@@ -108,6 +111,7 @@ fn fair_queue_prevents_client_starvation_through_the_service() {
 /// after a backlog of Low requests is dequeued first.
 #[test]
 fn high_priority_jumps_the_low_band() {
+    let _guard = lock();
     let svc = small_service(1, 32);
     let csh = AlgoChoice::Fixed(Algorithm::Cpu(CpuAlgorithm::Csh));
     let plug = svc.submit(JoinRequest::generate("plug", csh, 1 << 15, 1.0, 1));
@@ -144,6 +148,7 @@ fn high_priority_jumps_the_low_band() {
 /// boundary, and the books still balance.
 #[test]
 fn expired_deadline_cancels_with_a_named_phase() {
+    let _guard = lock();
     let svc = small_service(2, 8);
     let mut req = JoinRequest::generate(
         "t",
@@ -176,6 +181,7 @@ fn expired_deadline_cancels_with_a_named_phase() {
 /// over the wire, and the metrics op reflects it.
 #[test]
 fn tcp_auto_request_round_trips_with_metrics() {
+    let _guard = lock();
     let svc = small_service(2, 8);
     let server = protocol::serve(std::sync::Arc::clone(&svc), "127.0.0.1:0").expect("bind");
     let mut client = protocol::Client::connect(server.addr()).expect("connect");
@@ -236,6 +242,7 @@ fn zero_length_frame_gets_a_typed_protocol_error() {
 /// be parsed and served like any other request.
 #[test]
 fn frame_of_exactly_max_bytes_is_served() {
+    let _guard = lock();
     use std::io::Write;
     let svc = small_service(1, 4);
     let server = protocol::serve(std::sync::Arc::clone(&svc), "127.0.0.1:0").expect("bind");

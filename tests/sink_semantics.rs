@@ -2,11 +2,12 @@
 //! result sets equal the reference result set exactly (not just by count),
 //! and the volcano ring behaves as §III describes.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
-use skewjoin::common::sink::OutputTuple;
-use skewjoin::common::{CountingSink, MaterializeSink, VolcanoSink};
+use skewjoin::common::sink::{merge_key_counts, tuple_mix, OutputTuple};
+use skewjoin::common::{CountingSink, KeyCountSink, MaterializeSink, Tuple, VolcanoSink};
 use skewjoin::cpu::{cbase_join, csh_join, npj_join, reference_join, CpuJoinConfig};
+use skewjoin::datagen::Rng;
 use skewjoin::gpu::{gbase_join, gsh_join, GpuJoinConfig};
 use skewjoin::prelude::*;
 
@@ -114,4 +115,82 @@ fn per_thread_sinks_partition_the_output() {
     let sum: u64 = outcome.sinks.iter().map(|s| s.count()).sum();
     assert_eq!(sum, outcome.stats.result_count);
     assert_eq!(outcome.sinks.len(), 4);
+}
+
+/// The key sequence shapes the run-length [`KeyCountSink`] must not care
+/// about: random interleavings over a few keys, strict alternation, one
+/// key flooding the sink, and long runs broken by single strays.
+fn key_sequence(rng: &mut Rng, shape: usize, len: usize) -> Vec<u32> {
+    let (a, b) = (rng.next_u32(), rng.next_u32());
+    (0..len)
+        .map(|i| match shape {
+            0 => rng.below(4) as u32,
+            1 => rng.next_u32(),
+            2 => [a, b][i % 2],
+            3 => a,
+            _ => {
+                if rng.below(16) == 0 {
+                    b
+                } else {
+                    a
+                }
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn run_length_key_counts_equal_a_per_emit_map() {
+    for seed in 0..20u64 {
+        let mut rng = Rng::seed_from_u64(seed);
+        for shape in 0..5 {
+            let len = rng.below(600);
+            let keys = key_sequence(&mut rng, shape, len);
+            // Two sinks share the stream, as two workers would.
+            let mut sinks = [KeyCountSink::new(), KeyCountSink::new()];
+            let mut reference = BTreeMap::new();
+            let mut checksum = 0u64;
+            let mut emitted = 0u64;
+            let mut i = 0;
+            while i < keys.len() {
+                let sink = &mut sinks[rng.below(2)];
+                let key = keys[i];
+                let s_payload = rng.next_u32();
+                // Consecutive equal keys sometimes go through the bulk
+                // `emit_r_run` path, as CSH's skew emission does.
+                let run = keys[i..].iter().take_while(|&&k| k == key).count();
+                let take = if rng.below(2) == 0 { 1 } else { run };
+                if take == 1 {
+                    let r_payload = rng.next_u32();
+                    sink.emit(key, r_payload, s_payload);
+                    checksum = checksum.wrapping_add(tuple_mix(key, r_payload, s_payload));
+                } else {
+                    let r: Vec<Tuple> =
+                        (0..take).map(|_| Tuple::new(key, rng.next_u32())).collect();
+                    sink.emit_r_run(key, &r, s_payload);
+                    for t in &r {
+                        checksum = checksum.wrapping_add(tuple_mix(key, t.payload, s_payload));
+                    }
+                }
+                *reference.entry(key).or_insert(0u64) += take as u64;
+                emitted += take as u64;
+                i += take;
+            }
+            let what = format!("seed {seed}, shape {shape}");
+            assert_eq!(merge_key_counts(&sinks), reference, "{what}");
+            let mut summed = BTreeMap::new();
+            for sink in &sinks {
+                for (key, count) in sink.counts() {
+                    *summed.entry(key).or_insert(0u64) += count;
+                }
+            }
+            assert_eq!(summed, reference, "{what}");
+            let total: u64 = sinks.iter().map(|s| s.count()).sum();
+            assert_eq!(total, emitted, "{what}");
+            let sum = sinks
+                .iter()
+                .fold(0u64, |acc, s| acc.wrapping_add(s.checksum()));
+            assert_eq!(sum, checksum, "{what}");
+        }
+    }
 }
