@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the workload generators: per-tuple zipf draws
-//! (interval binary search), full table generation, the graph generator,
+//! (guide-table interval search), full table generation, the graph generator,
 //! and relation I/O.
 
 use skewjoin::datagen::graph::PowerLawGraph;

@@ -95,9 +95,9 @@ pub struct CpuJoinConfig {
     /// software write-combining buffers).
     pub scatter: ScatterMode,
     /// Tuples per software write-combining buffer when `scatter` is
-    /// [`ScatterMode::Buffered`]. Default [`SWWC_TUPLES`] (8 × 8-byte
-    /// tuples = one 64-byte cache line); must be a power of two in
-    /// `1..=64`.
+    /// [`ScatterMode::Buffered`]. Default [`SWWC_TUPLES`] (32 × 8-byte
+    /// tuples = 256 bytes, four 64-byte cache lines); must be a power of
+    /// two in `1..=64`.
     pub wc_tuples: usize,
     /// Scheduler driving the partition-refinement and join task pools.
     pub scheduler: SchedulerKind,

@@ -4,8 +4,10 @@
 //!
 //! The centerpiece is [`zipf::ZipfWorkload`], a literal implementation of the
 //! paper's §V-A generator: an interval array whose lengths are zipf
-//! probabilities, one random unique key per interval, and per-tuple binary
-//! search of uniform randoms into the intervals. Table R and table S are
+//! probabilities, one random unique key per interval, and a per-tuple
+//! search of uniform randoms into the intervals (narrowed by a guide table,
+//! with the paper's exact result, and spread over all cores with output
+//! independent of the thread count). Table R and table S are
 //! drawn from the *same* interval/key arrays, which is how the paper models
 //! "highly skewed" joins where the same keys are hot on both sides.
 //!

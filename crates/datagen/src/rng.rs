@@ -6,6 +6,15 @@
 //! cryptographic — it only needs to be fast, seedable, and statistically
 //! adequate for generating join workloads, and its tiny state makes every
 //! generator in this crate trivially reproducible from a `u64` seed.
+//!
+//! SplitMix64's state after `k` outputs is `seed + k·γ` (wrapping), so
+//! [`Rng::advance`] jumps a stream ahead in O(1). That lets a table be
+//! generated in chunks on several threads, each chunk starting its own
+//! generator at its first tuple's index, with output identical to one
+//! sequential stream.
+
+/// SplitMix64's Weyl increment `γ`: the golden ratio scaled to 2^64, odd.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Deterministic SplitMix64 generator.
 #[derive(Debug, Clone)]
@@ -22,11 +31,18 @@ impl Rng {
     /// Next 64 uniformly random bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// Skips the next `steps` outputs in O(1): afterwards the generator is
+    /// where `steps` calls to [`Rng::next_u64`] would have left it.
+    #[inline]
+    pub fn advance(&mut self, steps: u64) {
+        self.state = self.state.wrapping_add(steps.wrapping_mul(GAMMA));
     }
 
     /// Next 32 uniformly random bits (upper half of the 64-bit output).
@@ -83,6 +99,26 @@ mod tests {
         }
         let mut c = Rng::seed_from_u64(43);
         assert_ne!(a.next_u64(), c.next_u64());
+    }
+
+    #[test]
+    fn advance_equals_stepping() {
+        for seed in [0, 42, u64::MAX] {
+            let mut stepped = Rng::seed_from_u64(seed);
+            for k in 0..300u64 {
+                let mut jumped = Rng::seed_from_u64(seed);
+                jumped.advance(k);
+                assert_eq!(jumped.next_u64(), stepped.next_u64(), "seed={seed} k={k}");
+            }
+        }
+        // Jumps compose, and a jump of 2^64 steps is the identity.
+        let mut a = Rng::seed_from_u64(7);
+        a.advance(1 << 40);
+        a.advance(u64::MAX);
+        a.advance(1);
+        let mut b = Rng::seed_from_u64(7);
+        b.advance(1 << 40);
+        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]
